@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
 
-from .core import PoRelation, _bits, canonical_extension, make_row
+from .core import PoRelation, _bits, canonical_extension, make_row, transitive_closure
 from .errors import ArityError, UnboundRelationError
 
 INF = float("inf")
@@ -213,8 +213,9 @@ def po_union(left: PoRelation, right: PoRelation) -> PoRelation:
         raise ArityError(f"union operands have arities {left.arity} and {right.arity}")
     n1, n2 = left.size, right.size
     rows = left.rows_by_position() + right.rows_by_position()
-    desc = [m for m in left._desc] + [m << n1 for m in right._desc]
-    return PoRelation.from_closure(tuple(range(n1 + n2)), rows, desc, left.arity)
+    desc = left._desc + tuple(m << n1 for m in right._desc)
+    anc = left._anc + tuple(m << n1 for m in right._anc)
+    return PoRelation.from_closure(tuple(range(n1 + n2)), rows, desc, anc, left.arity)
 
 
 def po_concat(left: PoRelation, right: PoRelation) -> PoRelation:
@@ -223,43 +224,61 @@ def po_concat(left: PoRelation, right: PoRelation) -> PoRelation:
         raise ArityError(f"concat operands have arities {left.arity} and {right.arity}")
     n1, n2 = left.size, right.size
     rows = left.rows_by_position() + right.rows_by_position()
+    all_left = (1 << n1) - 1
     all_right = ((1 << n2) - 1) << n1
-    desc = [m | all_right for m in left._desc] + [m << n1 for m in right._desc]
-    return PoRelation.from_closure(tuple(range(n1 + n2)), rows, desc, left.arity)
+    desc = tuple(m | all_right for m in left._desc) + tuple(m << n1 for m in right._desc)
+    anc = left._anc + tuple(m << n1 | all_left for m in right._anc)
+    return PoRelation.from_closure(tuple(range(n1 + n2)), rows, desc, anc, left.arity)
+
+
+def _spread(mask: int, stride: int) -> int:
+    """Move bit ``k`` of ``mask`` to bit ``k * stride``.
+
+    Products number the pair (i, j) as position i * n2 + j.  Multiplying a
+    left mask spread by n2 with an n2-bit right mask lays one copy of the
+    right mask into the n2-bit block of each left bit; the copies never
+    overlap, so the product cannot carry and each cell's mask costs one
+    multiply.
+    """
+    out = 0
+    for k in _bits(mask):
+        out |= 1 << (k * stride)
+    return out
 
 
 def po_dirprod(left: PoRelation, right: PoRelation) -> PoRelation:
     """Direct product: pairs compare iff both coordinates compare weakly, strict overall."""
     n1, n2 = left.size, right.size
-    rows = []
+    rows = tuple(a + b for a in left.rows_by_position() for b in right.rows_by_position())
+    up_right = [m | 1 << j for j, m in enumerate(right._desc)]
+    down_right = [m | 1 << j for j, m in enumerate(right._anc)]
     desc = []
+    anc = []
     for i in range(n1):
-        up_i = left._desc[i] | (1 << i)
+        up = _spread(left._desc[i] | 1 << i, n2)
+        down = _spread(left._anc[i] | 1 << i, n2)
         for j in range(n2):
-            rows.append(left.rows_by_position()[i] + right.rows_by_position()[j])
-            up_j = right._desc[j] | (1 << j)
-            mask = 0
-            for i2 in _bits(up_i):
-                mask |= up_j << (i2 * n2)
-            mask &= ~(1 << (i * n2 + j))
-            desc.append(mask)
-    return PoRelation.from_closure(tuple(range(n1 * n2)), tuple(rows), desc, left.arity + right.arity)
+            self_bit = 1 << (i * n2 + j)
+            desc.append(up * up_right[j] ^ self_bit)
+            anc.append(down * down_right[j] ^ self_bit)
+    return PoRelation.from_closure(tuple(range(n1 * n2)), rows, desc, anc, left.arity + right.arity)
 
 
 def po_lexprod(left: PoRelation, right: PoRelation) -> PoRelation:
     """Lexicographic (ordinal) product: first coordinate decides, ties by the second."""
     n1, n2 = left.size, right.size
+    rows = tuple(a + b for a in left.rows_by_position() for b in right.rows_by_position())
     full_right = (1 << n2) - 1
-    rows = []
     desc = []
+    anc = []
     for i in range(n1):
-        above_i = 0
-        for i2 in _bits(left._desc[i]):
-            above_i |= full_right << (i2 * n2)
+        above = _spread(left._desc[i], n2) * full_right
+        below = _spread(left._anc[i], n2) * full_right
+        shift = i * n2
         for j in range(n2):
-            rows.append(left.rows_by_position()[i] + right.rows_by_position()[j])
-            desc.append(above_i | (right._desc[j] << (i * n2)))
-    return PoRelation.from_closure(tuple(range(n1 * n2)), tuple(rows), desc, left.arity + right.arity)
+            desc.append(above | right._desc[j] << shift)
+            anc.append(below | right._anc[j] << shift)
+    return PoRelation.from_closure(tuple(range(n1 * n2)), rows, desc, anc, left.arity + right.arity)
 
 
 def po_selection(predicate, r: PoRelation) -> PoRelation:
@@ -275,7 +294,7 @@ def po_projection(attrs, r: PoRelation) -> PoRelation:
             raise ArityError(f"projection attribute .{a} out of range for arity {r.arity}")
     picked = tuple(a - 1 for a in attrs)
     return PoRelation.from_closure(
-        r.ids, tuple(tuple(row[k] for k in picked) for row in r.rows_by_position()), r._desc, len(attrs)
+        r.ids, tuple(tuple(row[k] for k in picked) for row in r.rows_by_position()), r._desc, r._anc, len(attrs)
     )
 
 
@@ -289,49 +308,40 @@ def dup_elim(r: PoRelation):
     the transitive closure of the quotient edges.
     """
     groups: dict = {}
-    for ident in r.ids:
-        groups.setdefault(r.label(ident), []).append(ident)
-    classes = sorted(groups.values(), key=lambda g: r.position(g[0]))
-    k = len(classes)
+    for pos, row in enumerate(r.rows_by_position()):
+        groups.setdefault(row, []).append(pos)
+    classes = list(groups.values())  # ordered by first member's position
     class_of = {}
+    member_masks = []
     for c, members in enumerate(classes):
-        for ident in members:
-            class_of[ident] = c
+        mask = 0
+        for pos in members:
+            class_of[pos] = c
+            mask |= 1 << pos
+        member_masks.append(mask)
 
-    edges = [0] * k
-    for ident in r.ids:
-        ci = class_of[ident]
-        pos = r.position(ident)
-        for q in _bits(r.descendant_mask(ident)):
-            cj = class_of[r.ids[q]]
-            if ci != cj:
-                edges[ci] |= 1 << cj
+    def quotient_edges(masks):
+        """Per class, the mask of other classes that ``masks`` reach from it."""
+        edges = []
+        for c, members in enumerate(classes):
+            reach = 0
+            for pos in members:
+                reach |= masks[pos]
+            reach &= ~member_masks[c]
+            out = 0
+            while reach:
+                d = class_of[(reach & -reach).bit_length() - 1]
+                out |= 1 << d
+                reach &= ~member_masks[d]
+            edges.append(out)
+        return edges
 
-    # cycle check by Kahn's algorithm on the class graph
-    indeg = [0] * k
-    for c in range(k):
-        for d in _bits(edges[c]):
-            indeg[d] += 1
-    queue = [c for c in range(k) if indeg[c] == 0]
-    seen = 0
-    while queue:
-        c = queue.pop()
-        seen += 1
-        for d in _bits(edges[c]):
-            indeg[d] -= 1
-            if indeg[d] == 0:
-                queue.append(d)
-    if seen != k:
+    closed = transitive_closure(quotient_edges(r._desc), quotient_edges(r._anc))
+    if closed is None:
         return CompleteFailure(r.arity)
-
-    closed = list(edges)
-    for mid in range(k):
-        bit = 1 << mid
-        for c in range(k):
-            if closed[c] & bit:
-                closed[c] |= closed[mid]
-    rows = tuple(r.label(members[0]) for members in classes)
-    return PoRelation.from_closure(tuple(range(k)), rows, closed, r.arity)
+    desc, anc = closed
+    rows = tuple(r.rows_by_position()[members[0]] for members in classes)
+    return PoRelation.from_closure(tuple(range(len(classes))), rows, desc, anc, r.arity)
 
 
 # -- evaluation ------------------------------------------------------------
@@ -376,12 +386,13 @@ def evaluate(q, db):
     if isinstance(q, RelName):
         return db[q.name].reindexed()
     if isinstance(q, SingletonConst):
-        return PoRelation.from_closure((0,), (q.row,), [0], len(q.row))
+        return PoRelation.from_closure((0,), (q.row,), [0], [0], len(q.row))
     if isinstance(q, ChainConst):
         n = q.n
         full = (1 << n) - 1
         desc = [(full >> (i + 1)) << (i + 1) for i in range(n)]
-        return PoRelation.from_closure(tuple(range(n)), tuple((i + 1,) for i in range(n)), desc, 1)
+        anc = [(1 << i) - 1 for i in range(n)]
+        return PoRelation.from_closure(tuple(range(n)), tuple((i + 1,) for i in range(n)), desc, anc, 1)
     if isinstance(q, Selection):
         sub = evaluate(q.sub, db)
         if isinstance(sub, CompleteFailure):
@@ -465,6 +476,17 @@ def contains_node(q, kinds) -> bool:
     if isinstance(q, (Union, DirProduct, LexProduct, Concat)):
         return contains_node(q.left, kinds) or contains_node(q.right, kinds)
     return False
+
+
+def relation_names(q) -> set:
+    """Names of the database relations a query reads."""
+    if isinstance(q, RelName):
+        return {q.name}
+    if isinstance(q, (Selection, Projection, DupElim)):
+        return relation_names(q.sub)
+    if isinstance(q, (Union, DirProduct, LexProduct, Concat)):
+        return relation_names(q.left) | relation_names(q.right)
+    return set()
 
 
 def union_terms(q):
@@ -552,7 +574,10 @@ def _extension_forcing(r: PoRelation, before: int, after: int) -> tuple:
     extra_low = r.ancestor_mask(before) | (1 << pb)
     extra_high = r.descendant_mask(after) | (1 << pa)
     desc = list(r._desc)
+    anc = list(r._anc)
     for p in _bits(extra_low):
         desc[p] |= extra_high & ~(1 << p)
-    forced = PoRelation.from_closure(r.ids, r.rows_by_position(), desc, r.arity)
+    for p in _bits(extra_high):
+        anc[p] |= extra_low & ~(1 << p)
+    forced = PoRelation.from_closure(r.ids, r.rows_by_position(), desc, anc, r.arity)
     return canonical_extension(forced)

@@ -7,7 +7,11 @@ linear extensions (its *possible worlds*).
 
 The order is stored as per-identifier ancestor/descendant bitsets over dense
 positions (the full transitive closure), so comparability checks are O(1);
-the Hasse reduction is computed once and cached.  Instances are immutable
+the Hasse reduction is computed once and cached.  The two mask lists are
+transposes of each other: bit ``i`` of ``_anc[j]`` is set exactly when bit
+``j`` of ``_desc[i]`` is.  Every constructor builds both lists with
+whole-mask operations (shifts, ORs along a topological order, carry-free
+multiplies) rather than by visiting ordered pairs.  Instances are immutable
 after construction and safe to share across threads; the generators returned
 by :func:`linear_extensions` are single-consumer.
 """
@@ -79,26 +83,31 @@ class PoRelation:
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def from_closure(cls, ids: Sequence[int], rows: Sequence[tuple], desc_masks: Sequence[int], arity: int | None = None) -> "PoRelation":
-        """Build from already transitively closed, irreflexive descendant masks.
+    def from_closure(
+        cls,
+        ids: Sequence[int],
+        rows: Sequence[tuple],
+        desc_masks: Sequence[int],
+        anc_masks: Sequence[int],
+        arity: int | None = None,
+    ) -> "PoRelation":
+        """Build from already transitively closed, irreflexive order masks.
 
         ``ids`` must be sorted ascending; ``rows[i]`` labels ``ids[i]``;
-        ``desc_masks[i]`` holds the positions strictly above position ``i``.
+        ``desc_masks[i]`` holds the positions strictly above position ``i``
+        and ``anc_masks[i]`` those strictly below it.  The caller guarantees
+        the invariant: bit ``i`` of ``anc_masks[j]`` is set exactly when bit
+        ``j`` of ``desc_masks[i]`` is.
         """
         ids = tuple(ids)
         rows = tuple(rows)
-        n = len(ids)
         if arity is None:
             arity = len(rows[0]) if rows else 0
         for row in rows:
             if len(row) != arity:
                 raise ArityError(f"labels mix arities: expected {arity}, got {len(row)}")
-        anc = [0] * n
-        for i, mask in enumerate(desc_masks):
-            for j in _bits(mask):
-                anc[j] |= 1 << i
         index = {ident: pos for pos, ident in enumerate(ids)}
-        return cls(ids, arity, index, rows, tuple(anc), tuple(desc_masks))
+        return cls(ids, arity, index, rows, tuple(anc_masks), tuple(desc_masks))
 
     # -- basic accessors ---------------------------------------------------
 
@@ -162,21 +171,29 @@ class PoRelation:
         """Sub-relation induced on ``keep``; order is the restriction of the closure."""
         keep_sorted = sorted(keep)
         old_pos = [self._index[i] for i in keep_sorted]
-        n = len(keep_sorted)
-        remap = {p: q for q, p in enumerate(old_pos)}
-        desc = []
-        for p in old_pos:
-            mask = 0
-            for q in _bits(self._desc[p]):
-                if q in remap:
-                    mask |= 1 << remap[q]
-            desc.append(mask)
+        # kept positions as maximal runs: (first old position, run mask, first new position)
+        runs = []
+        for q, p in enumerate(old_pos):
+            if runs and p == runs[-1][0] + runs[-1][1]:
+                runs[-1][1] += 1
+            else:
+                runs.append([p, 1, q])
+        runs = [(start, (1 << length) - 1, target) for start, length, target in runs]
+
+        def compress(mask: int) -> int:
+            out = 0
+            for start, run_mask, target in runs:
+                out |= (mask >> start & run_mask) << target
+            return out
+
+        desc = [compress(self._desc[p]) for p in old_pos]
+        anc = [compress(self._anc[p]) for p in old_pos]
         rows = tuple(self._rows[p] for p in old_pos)
-        return PoRelation.from_closure(tuple(keep_sorted), rows, desc, self.arity)
+        return PoRelation.from_closure(tuple(keep_sorted), rows, desc, anc, self.arity)
 
     def reindexed(self) -> "PoRelation":
         """Copy with dense identifiers 0..n-1 assigned in ascending id order."""
-        return PoRelation.from_closure(tuple(range(self.size)), self._rows, self._desc, self.arity)
+        return PoRelation.from_closure(tuple(range(self.size)), self._rows, self._desc, self._anc, self.arity)
 
     # -- equality notions --------------------------------------------------
 
@@ -244,28 +261,74 @@ def validate_po_relation(ids: Iterable[int], labels: Mapping[int, Sequence], ord
             raise ArityError(f"labels have arity {arities.pop()}, expected {arity}")
 
     succ = [0] * n
+    pred = [0] * n
     for x, y in order_pairs:
         if x not in index or y not in index:
             raise NotPermutationError(f"order pair ({x}, {y}) mentions unknown identifiers")
-        succ[index[x]] |= 1 << index[y]
+        px, py = index[x], index[y]
+        succ[px] |= 1 << py
+        pred[py] |= 1 << px
 
-    # transitive closure over bitmasks, then irreflexivity check
-    closed = list(succ)
-    for k in range(n):
-        kbit = 1 << k
-        kmask = closed[k]
+    closed = transitive_closure(succ, pred)
+    if closed is None:
+        # a position on a cycle is reached from one and reaches one, so it
+        # survives Kahn's peeling in both directions; report the smallest
+        peeled = set(_topological_order(succ, pred)) | set(_topological_order(pred, succ))
         for i in range(n):
-            if closed[i] & kbit:
-                closed[i] |= kmask
-    for i in range(n):
-        if closed[i] >> i & 1:
-            raise CycleError(_find_cycle(id_list, succ, i))
+            if i not in peeled:
+                cycle = _find_cycle(id_list, succ, i)
+                if cycle is not None:
+                    raise CycleError(cycle)
+    desc, anc = closed
+    return PoRelation.from_closure(tuple(id_list), tuple(rows), desc, anc, arity)
 
-    return PoRelation.from_closure(tuple(id_list), tuple(rows), closed, arity)
+
+def _topological_order(succ: Sequence[int], pred: Sequence[int]) -> list:
+    """Kahn's order of a graph given by successor and predecessor masks.
+
+    Covers every node exactly when the graph is acyclic; otherwise it stops
+    short of the nodes on a cycle and those reached from one.
+    """
+    indeg = [m.bit_count() for m in pred]
+    order = [v for v in range(len(succ)) if not indeg[v]]
+    for v in order:  # grows while it is walked
+        for s in _bits(succ[v]):
+            indeg[s] -= 1
+            if not indeg[s]:
+                order.append(s)
+    return order
+
+
+def transitive_closure(succ: Sequence[int], pred: Sequence[int]):
+    """Descendant and ancestor masks of the closure of a graph, or ``None`` if cyclic.
+
+    ``succ[i]`` and ``pred[i]`` are the direct successor and predecessor
+    masks of node ``i`` (each the transpose of the other).  Along a Kahn
+    order, descendant masks are ORed up from the sinks and ancestor masks
+    down from the sources: one big-int OR per edge, and the two results
+    are transposes of each other.  A self-loop counts as a cycle.
+    """
+    n = len(succ)
+    order = _topological_order(succ, pred)
+    if len(order) < n:
+        return None
+    desc = [0] * n
+    for v in reversed(order):
+        mask = succ[v]
+        for s in _bits(succ[v]):
+            mask |= desc[s]
+        desc[v] = mask
+    anc = [0] * n
+    for v in order:
+        mask = pred[v]
+        for p in _bits(pred[v]):
+            mask |= anc[p]
+        anc[v] = mask
+    return desc, anc
 
 
 def _find_cycle(ids, succ, start_pos):
-    """Recover one explicit cycle through ``start_pos`` for error reporting."""
+    """One explicit cycle through ``start_pos`` (shortest, by BFS), or ``None``."""
     parent = {start_pos: None}
     frontier = [start_pos]
     while frontier:
@@ -284,7 +347,7 @@ def _find_cycle(ids, succ, start_pos):
                     parent[q] = p
                     nxt.append(q)
         frontier = nxt
-    return (ids[start_pos],)
+    return None
 
 
 def linear_extensions(r: PoRelation) -> Iterator[tuple]:

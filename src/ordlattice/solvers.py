@@ -45,6 +45,7 @@ from .algebra import (
     contains_node,
     evaluate,
     po_union,
+    relation_names,
     union_terms,
     width_bounds,
 )
@@ -152,12 +153,7 @@ def _poss_list(r: PoRelation, candidate: tuple, policy: DispatchPolicy, query=No
         return verdict
 
     if query is not None and db is not None and not contains_node(query, DirProduct):
-        widths = {}
-        ias = {}
-        for name, rel in db.relations.items():
-            widths[name], _ = width_and_chain_partition(rel)
-            ias[name] = ia_partition(rel).cardinality
-        bound, _ = width_bounds(query, widths, ias)
+        bound = _static_width_bound(query, db)
         if bound <= policy.width_limit:
             logger.debug("poss: static width bound %s within %s, chain DP", bound, policy.width_limit)
             return poss_bounded_width_dp(r, candidate)
@@ -176,6 +172,18 @@ def _poss_list(r: PoRelation, candidate: tuple, policy: DispatchPolicy, query=No
 
     logger.debug("poss: falling back to memoized backtracking")
     return poss_backtracking(r, candidate, policy)
+
+
+def _static_width_bound(query, db) -> float:
+    """The query's static width bound from the relations it reads (no others)."""
+    widths = {}
+    ias = {}
+    for name in relation_names(query):
+        rel = db[name]
+        widths[name], _ = width_and_chain_partition(rel)
+        ias[name] = ia_partition(rel).cardinality
+    bound, _ = width_bounds(query, widths, ias)
+    return bound
 
 
 def _split_by_width_ia(query, db, policy: DispatchPolicy):
@@ -199,7 +207,7 @@ def _split_by_width_ia(query, db, policy: DispatchPolicy):
             ia_parts.append(rel)
         else:
             return None
-    empty = PoRelation.from_closure((), (), [], arity)
+    empty = PoRelation.from_closure((), (), [], [], arity)
     r_w = reduce(po_union, w_parts) if w_parts else empty
     r_ia = reduce(po_union, ia_parts) if ia_parts else empty
     return r_w, r_ia
@@ -254,41 +262,26 @@ def _dedup_pair(r: PoRelation, candidate: tuple) -> tuple:
     """(POSS, CERT) verdicts for a duplicate-free relation.
 
     Each candidate row matches exactly one id; the candidate is possible
-    iff the order augmented with its consecutive-pair constraints stays
-    acyclic, and certain iff the relation is a total order matching it.
+    iff that id sequence is a linear extension, i.e. every id's ancestors
+    are all placed before it, and certain iff the relation is a total
+    order matching it.
     """
     ids_by_row = {r.label(ident): ident for ident in r.ids}
     if len(set(candidate)) != len(candidate) or set(candidate) != set(ids_by_row):
         poss_v = Verdict(False, "dedup", relation=r)
     else:
         seq = tuple(ids_by_row[row] for row in candidate)
-        n = r.size
-        succ = [set(_bits(r._desc[i])) for i in range(n)]
-        for a, b in zip(seq, seq[1:]):
-            succ[r.position(a)].add(r.position(b))
-        acyclic = _is_acyclic(succ)
-        poss_v = Verdict(acyclic, "dedup", witness=seq if acyclic else None, relation=r)
+        placed = 0
+        for ident in seq:
+            pos = r.position(ident)
+            if r._anc[pos] & ~placed:
+                break
+            placed |= 1 << pos
+        possible = placed == (1 << r.size) - 1
+        poss_v = Verdict(possible, "dedup", witness=seq if possible else None, relation=r)
 
     cert_v = _cert_list(r, candidate, method="dedup")
     return poss_v, cert_v
-
-
-def _is_acyclic(succ) -> bool:
-    n = len(succ)
-    indeg = [0] * n
-    for outs in succ:
-        for v in outs:
-            indeg[v] += 1
-    queue = [v for v in range(n) if indeg[v] == 0]
-    seen = 0
-    while queue:
-        u = queue.pop()
-        seen += 1
-        for v in succ[u]:
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                queue.append(v)
-    return seen == n
 
 
 def poss_cert_dedup(q, db, candidate, policy: DispatchPolicy | None = None) -> tuple:
@@ -317,9 +310,9 @@ def cert(q, db, candidate, policy: DispatchPolicy | None = None) -> Verdict:
 
 
 def _cert_list(r: PoRelation, candidate: tuple, method: str = "swap_concat") -> Verdict:
-    pair = _unequal_incomparable_pair(r)
+    pair = next(_unequal_incomparable_pairs(r), None)
     if pair is not None:
-        x, y = pair
+        x, y = r.ids[pair[0]], r.ids[pair[1]]
         lo, _ = possible_ranks(r, x, y)
         w1 = world_of(r, rank_witness(r, x, y, lo, lo + 1))
         w2 = world_of(r, rank_witness(r, x, y, lo + 1, lo))
@@ -331,13 +324,22 @@ def _cert_list(r: PoRelation, candidate: tuple, method: str = "swap_concat") -> 
     return Verdict(False, method, witness=world, relation=r)
 
 
-def _unequal_incomparable_pair(r: PoRelation):
-    """First incomparable id pair with different labels, scanning ascending."""
-    for i, x in enumerate(r.ids):
-        for y in r.ids[i + 1 :]:
-            if not r.comparable(x, y) and r.label(x) != r.label(y):
-                return x, y
-    return None
+def _unequal_incomparable_pairs(r: PoRelation):
+    """Position pairs ``i < j`` that are incomparable and differently labelled.
+
+    Ascending in ``i``, then ``j``; since ids ascend with positions this is
+    also ascending id order.  Each ``i`` costs a few whole-mask operations
+    plus one step per yielded pair.
+    """
+    rows = r.rows_by_position()
+    same_label: dict = {}
+    for pos, row in enumerate(rows):
+        same_label[row] = same_label.get(row, 0) | 1 << pos
+    full = (1 << r.size) - 1
+    for i in range(r.size):
+        later = full >> (i + 1) << (i + 1)
+        for j in _bits(later & ~(r._desc[i] | r._anc[i] | same_label[rows[i]])):
+            yield i, j
 
 
 # -- cancellative-monoid certainty ----------------------------------------------
@@ -355,22 +357,18 @@ def cert_safe_swaps(acc: Accumulator, r: PoRelation, value) -> Verdict:
         raise NotCancellativeError(f"accumulator {acc.name!r} is not cancellative")
     combine = acc.monoid.combine
     h = acc.map.fn
-    for i, x in enumerate(r.ids):
-        t1 = r.label(x)
-        for y in r.ids[i + 1 :]:
-            if r.comparable(x, y):
-                continue
-            t2 = r.label(y)
-            if t1 == t2:
-                continue
-            lo, hi = possible_ranks(r, x, y)
-            positions = (lo,) if acc.map.is_position_invariant else range(lo, hi)
-            for p in positions:
-                if combine(h(t1, p), h(t2, p + 1)) != combine(h(t2, p), h(t1, p + 1)):
-                    v1 = accumulate_list(acc, world_of(r, rank_witness(r, x, y, p, p + 1)))
-                    v2 = accumulate_list(acc, world_of(r, rank_witness(r, x, y, p + 1, p)))
-                    other = v1 if v1 != value else v2
-                    return Verdict(False, "safe_swaps", witness=other, relation=r)
+    rows = r.rows_by_position()
+    for i, j in _unequal_incomparable_pairs(r):
+        x, y = r.ids[i], r.ids[j]
+        t1, t2 = rows[i], rows[j]
+        lo, hi = possible_ranks(r, x, y)
+        positions = (lo,) if acc.map.is_position_invariant else range(lo, hi)
+        for p in positions:
+            if combine(h(t1, p), h(t2, p + 1)) != combine(h(t2, p), h(t1, p + 1)):
+                v1 = accumulate_list(acc, world_of(r, rank_witness(r, x, y, p, p + 1)))
+                v2 = accumulate_list(acc, world_of(r, rank_witness(r, x, y, p + 1, p)))
+                other = v1 if v1 != value else v2
+                return Verdict(False, "safe_swaps", witness=other, relation=r)
     folded = accumulate_list(acc, world_of(r, canonical_extension(r)))
     if folded == value:
         return Verdict(True, "safe_swaps", relation=r)
@@ -687,12 +685,7 @@ class _Hints:
 def _dispatch_hints(q, db, policy: DispatchPolicy) -> _Hints:
     bound = None
     if not contains_node(q, DirProduct):
-        widths = {}
-        ias = {}
-        for name, rel in db.relations.items():
-            widths[name], _ = width_and_chain_partition(rel)
-            ias[name] = ia_partition(rel).cardinality
-        bound, _ = width_bounds(q, widths, ias)
+        bound = _static_width_bound(q, db)
     split = _split_by_width_ia(q, db, policy)
     return _Hints(width_bound=bound, split=split)
 

@@ -305,13 +305,17 @@ class TestCommands:
         assert run(["--policy", "width_limit=abc", "analyze", db_path]) == 2
 
     def test_debug_logging_env(self, db_path, tmp_path, monkeypatch, capsys):
+        import os
         import subprocess
         import sys
 
         candidate = json.dumps([["Gagnaire", "8"], ["TourArgent", "5"]])
+        env = {"ORDLATTICE_LOG": "debug", "PATH": "/usr/bin:/bin"}
+        if "PYTHONPATH" in os.environ:  # the package may be importable only from there
+            env["PYTHONPATH"] = os.environ["PYTHONPATH"]
         proc = subprocess.run(
-            [sys.executable, "-m", "ordlattice.cli", "poss", db_path, "Rest", candidate],
-            env={"ORDLATTICE_LOG": "debug", "PATH": "/usr/bin:/bin"},
+            [sys.executable, "-m", "ordlattice", "poss", db_path, "Rest", candidate],
+            env=env,
             capture_output=True,
             text=True,
         )

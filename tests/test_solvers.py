@@ -250,6 +250,19 @@ class TestBoundedWidthDP:
         verdict = poss(q, db, candidate)
         assert verdict.method == "width_dp"
 
+    def test_dispatcher_measures_only_referenced_relations(self, monkeypatch):
+        from ordlattice import solvers
+
+        measured = []
+        real = solvers.width_and_chain_partition
+        monkeypatch.setattr(solvers, "width_and_chain_partition", lambda r: measured.append(r.size) or real(r))
+        a = validate_po_relation(range(3), {0: ("x",), 1: ("x",), 2: ("y",)}, [(0, 1)])
+        db = {"A": a, "Unused": validate_po_relation(range(9), {i: ("z",) for i in range(9)}, [])}
+        candidate = (("x",), ("y",), ("x",))
+        assert poss(RelName("A"), db, candidate).method == "width_dp"
+        assert poss_accum(concat_accumulator(), RelName("A"), db, candidate).method == "width_dp"
+        assert measured and 9 not in measured
+
 
 class TestUnionWidthIaDP:
     def test_ia_only_multiset_permutations(self):
