@@ -4,10 +4,12 @@ An :class:`Accumulator` pairs a monoid with an accumulation map taking a
 tuple and its 1-based position.  Folding a list relation gives one monoid
 element; folding a po-relation gives the set of elements over its possible
 worlds.  Three computations are provided: brute force over worlds, a
-dynamic program over chain-position vectors for finite monoids on
-bounded-width relations, and a dynamic program for unions of a
-bounded-width part and a bounded-ia-width part (finite, position-invariant
-maps).  Both dynamic programs keep one witness extension per reachable
+dynamic program for finite monoids on bounded-width relations, and one for
+unions of a bounded-width part and a bounded-ia-width part (finite,
+position-invariant maps).  Both dynamic programs run one engine over the
+lattice of order ideals, with ideals as position bitmasks; they differ only
+in how the rows are grouped for consumption (chains, or ia-class members
+with one map value).  The engine keeps one witness extension per reachable
 value so solvers can report how a value arises.
 
 The registry at the bottom exposes the built-in accumulators by name for
@@ -22,10 +24,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable
 
+from .algebra import po_union
 from .core import (
     DEFAULT_WORLD_LIMIT,
     PoRelation,
-    _bits,
     ia_partition,
     make_row,
     possible_worlds,
@@ -116,71 +118,94 @@ def results_bruteforce(acc: Accumulator, r: PoRelation, limit: int = DEFAULT_WOR
     return {accumulate_list(acc, world) for world in possible_worlds(r, limit)}
 
 
-# -- bounded-width dynamic program -------------------------------------------
+# -- the ideal-lattice value engine ---------------------------------------------
 
 
-def _chain_requirements(r: PoRelation, chains):
-    """Cross-chain prefix requirements for the ideal ("sane") check.
+def _unwind(cell, ids) -> tuple:
+    """The id sequence of a ``(position, previous)`` witness chain, oldest first."""
+    seq = []
+    while cell is not None:
+        pos, cell = cell
+        seq.append(ids[pos])
+    return tuple(reversed(seq))
 
-    ``req[i][p][j]`` is the number of elements of chain ``j`` that must be
-    consumed before the first ``p`` elements of chain ``i`` form part of an
-    order ideal.
+
+def _ideal_value_table(acc: Accumulator, r: PoRelation, groups) -> dict:
+    """Map each accumulation value over ``r`` to one witness extension.
+
+    A state is an order ideal of ``r`` as a position bitmask; states are
+    expanded layer by layer and the map sees ``layer + 1`` as the position.
+    ``groups`` are position sequences partitioning ``r``, each consumed in
+    its own order.  From a state, each group in turn offers at most one
+    successor: its next unused member, when that member's ancestors all lie
+    in the ideal.  Monoid values are interned to ints with a lazily filled
+    product table, and witnesses are ``(position, previous)`` cells; every
+    value keeps the first witness found.
     """
-    k = len(chains)
-    chain_pos = {}
-    for ci, chain in enumerate(chains):
-        for p, ident in enumerate(chain):
-            chain_pos[ident] = (ci, p + 1)
-    req = [[[0] * k for _ in range(len(chain) + 1)] for chain in chains]
-    for ci, chain in enumerate(chains):
-        for p, ident in enumerate(chain, start=1):
-            row = list(req[ci][p - 1])
-            for q in _bits(r.ancestor_mask(ident)):
-                cj, pj = chain_pos[r.ids[q]]
-                if cj != ci and pj > row[cj]:
-                    row[cj] = pj
-            req[ci][p] = row
-    return req
+    combine = acc.monoid.combine
+    h = acc.map.fn
+    invariant = acc.map.is_position_invariant
+    rows = r.rows_by_position()
+    anc = r._anc
+    values = [acc.monoid.neutral]
+    ident_of = {acc.monoid.neutral: 0}
+
+    def intern(value) -> int:
+        v = ident_of.get(value)
+        if v is None:
+            v = ident_of[value] = len(values)
+            values.append(value)
+        return v
+
+    # per group: (position, its ancestors, its bit) of each member, and the group's mask
+    groups = [(tuple((p, anc[p], 1 << p) for p in g), sum(1 << p for p in g)) for g in groups]
+    products: dict = {}  # element id -> {value id: product id}
+    element_of: dict = {}  # position -> element id (this layer's, unless invariant)
+    column_of: dict = {}  # position -> products of its element
+    frontier = {0: {0: None}}
+    for layer in range(r.size):
+        if not invariant:
+            element_of, column_of = {}, {}
+        nxt: dict = {}
+        for mask, table in frontier.items():
+            for members, group_mask in groups:
+                used = (mask & group_mask).bit_count()
+                if used == len(members):
+                    continue
+                p, p_anc, bit = members[used]
+                if p_anc & ~mask:
+                    continue
+                column = column_of.get(p)
+                if column is None:
+                    e = element_of[p] = intern(h(rows[p], layer + 1))
+                    column = column_of[p] = products.setdefault(e, {})
+                state = mask | bit
+                slot = nxt.get(state)
+                if slot is None:
+                    slot = nxt[state] = {}
+                for v, cell in table.items():
+                    product = column.get(v)
+                    if product is None:
+                        product = column[v] = intern(combine(values[v], values[element_of[p]]))
+                    if product not in slot:
+                        slot[product] = (p, cell)
+        frontier = nxt
+    (final,) = frontier.values()
+    return {values[v]: _unwind(cell, r.ids) for v, cell in final.items()}
 
 
 def _bounded_width_table(acc: Accumulator, r: PoRelation) -> dict:
-    """Map each achievable accumulation value to one witness extension."""
+    """Map each achievable accumulation value to one witness extension.
+
+    The groups are the chains of a minimum chain partition, so the states
+    number at most the product of (chain length + 1).
+    """
     if not acc.monoid.is_finite:
         raise NotFiniteError(f"accumulator {acc.name!r} does not have a finite monoid")
     _check_arity(acc, r.rows_by_position())
     _, partition = width_and_chain_partition(r)
-    chains = partition.chains
-    k = len(chains)
-    if k == 0:
-        return {acc.monoid.neutral: ()}
-    req = _chain_requirements(r, chains)
-    sizes = [len(c) for c in chains]
-    combine = acc.monoid.combine
-    h = acc.map.fn
-
-    start = tuple([0] * k)
-    frontier = {start: {acc.monoid.neutral: ()}}
-    total_size = r.size
-    for consumed in range(total_size):
-        nxt: dict = {}
-        for vec, table in frontier.items():
-            for i in range(k):
-                p = vec[i] + 1
-                if p > sizes[i]:
-                    continue
-                if any(req[i][p][j] > vec[j] for j in range(k) if j != i):
-                    continue
-                ident = chains[i][p - 1]
-                element = h(r.label(ident), consumed + 1)
-                new_vec = vec[:i] + (p,) + vec[i + 1 :]
-                slot = nxt.setdefault(new_vec, {})
-                for value, witness in table.items():
-                    new_value = combine(value, element)
-                    if new_value not in slot:
-                        slot[new_value] = witness + (ident,)
-        frontier = nxt
-    (final,) = frontier.values() if frontier else ({},)
-    return final
+    chains = [[r.position(ident) for ident in chain] for chain in partition.chains]
+    return _ideal_value_table(acc, r, chains)
 
 
 def results_bounded_width(acc: Accumulator, r: PoRelation) -> set:
@@ -195,24 +220,14 @@ def results_bounded_width(acc: Accumulator, r: PoRelation) -> set:
 # -- union of bounded width and bounded ia-width ------------------------------
 
 
-def _ia_class_data(r: PoRelation):
-    """Classes with, per class: ancestor-class mask and ids grouped by map value."""
-    classes = ia_partition(r).classes
-    members = [sorted(c) for c in classes]
-    class_of = {}
-    for ci, mem in enumerate(members):
-        for ident in mem:
-            class_of[ident] = ci
-    anc_classes = [0] * len(members)
-    for ci, mem in enumerate(members):
-        probe = mem[0]
-        for q in _bits(r.ancestor_mask(probe)):
-            anc_classes[ci] |= 1 << class_of[r.ids[q]]
-    return members, anc_classes
-
-
 def _noprod_union_table(acc: Accumulator, r_width: PoRelation, r_ia: PoRelation) -> dict:
-    """Witness table for accumulation over the union of the two relations."""
+    """Witness table for accumulation over the union of the two relations.
+
+    Witnesses are id sequences of ``po_union(r_width, r_ia)``.  The groups
+    are the chains of ``r_width``, then, per ia-class of ``r_ia``, its
+    members with one map value: members of a class share their ancestors,
+    so only the count used from each group matters.
+    """
     if not acc.monoid.is_finite:
         raise NotFiniteError(f"accumulator {acc.name!r} does not have a finite monoid")
     if not acc.map.is_position_invariant:
@@ -223,73 +238,14 @@ def _noprod_union_table(acc: Accumulator, r_width: PoRelation, r_ia: PoRelation)
     _check_arity(acc, r_ia.rows_by_position())
 
     _, partition = width_and_chain_partition(r_width)
-    chains = partition.chains
-    k = len(chains)
-    req = _chain_requirements(r_width, chains)
-    sizes = [len(c) for c in chains]
+    groups = [[r_width.position(ident) for ident in chain] for chain in partition.chains]
     h = acc.map.fn
-    combine = acc.monoid.combine
-
-    members, anc_classes = _ia_class_data(r_ia)
-    # per class: list of (map value, ids) groups, deterministic order
-    groups = []
-    for mem in members:
+    for members in ia_partition(r_ia).classes:
         by_value: dict = {}
-        for ident in mem:
-            by_value.setdefault(h(r_ia.label(ident), 1), []).append(ident)
-        groups.append(list(by_value.items()))
-
-    def class_exhausted(counts, ci):
-        return all(counts[ci][g] == len(groups[ci][g][1]) for g in range(len(groups[ci])))
-
-    start_counts = tuple(tuple(0 for _ in grp) for grp in groups)
-    start = (tuple([0] * k), start_counts)
-    frontier = {start: {acc.monoid.neutral: ()}}
-    total = r_width.size + r_ia.size
-    for consumed in range(total):
-        nxt: dict = {}
-
-        def record(state, value, element, witness, ident):
-            slot = nxt.setdefault(state, {})
-            new_value = combine(value, element)
-            if new_value not in slot:
-                slot[new_value] = witness + (ident,)
-
-        for (vec, counts), table in frontier.items():
-            for i in range(k):
-                p = vec[i] + 1
-                if p > sizes[i]:
-                    continue
-                if any(req[i][p][j] > vec[j] for j in range(k) if j != i):
-                    continue
-                ident = chains[i][p - 1]
-                element = h(r_width.label(ident), consumed + 1)
-                state = (vec[:i] + (p,) + vec[i + 1 :], counts)
-                for value, witness in table.items():
-                    record(state, value, element, witness, ("w", ident))
-            for ci in range(len(groups)):
-                if class_exhausted(counts, ci):
-                    continue
-                blocked = any(
-                    not class_exhausted(counts, cj) for cj in _bits(anc_classes[ci])
-                )
-                if blocked:
-                    continue
-                for g, (element, idents) in enumerate(groups[ci]):
-                    used = counts[ci][g]
-                    if used == len(idents):
-                        continue
-                    ident = idents[used]
-                    new_counts = tuple(
-                        tuple(c + 1 if (cj == ci and gj == g) else c for gj, c in enumerate(row))
-                        for cj, row in enumerate(counts)
-                    )
-                    state = (vec, new_counts)
-                    for value, witness in table.items():
-                        record(state, value, element, witness, ("i", ident))
-        frontier = nxt
-    (final,) = frontier.values() if frontier else ({},)
-    return final
+        for ident in sorted(members):
+            by_value.setdefault(h(r_ia.label(ident), 1), []).append(r_width.size + r_ia.position(ident))
+        groups.extend(by_value.values())
+    return _ideal_value_table(acc, po_union(r_width, r_ia), groups)
 
 
 def results_noprod_union(acc: Accumulator, r_width: PoRelation, r_ia: PoRelation) -> set:

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import os
@@ -716,12 +717,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse parsers are cyclic and slow to build; parse_args leaves them unchanged
+_parser = functools.cache(build_parser)
+
+
 def run(argv) -> int:
     """Run the command line; returns the exit status."""
     if os.environ.get("ORDLATTICE_LOG", "").lower() == "debug":
         logging.basicConfig(level=logging.DEBUG, format="%(name)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         policy = _policy_from_args(args.policy)
         if args.command == "eval":

@@ -16,7 +16,9 @@ CERT for plain list candidates is always polynomial: with concatenation as
 the accumulation monoid, a swap of two incomparable tuples changes the
 world iff the tuples differ, so the result is certain iff every
 incomparable pair carries equal values and the canonical extension matches
-the candidate.
+the candidate.  The same safe-swaps scan decides accumulation in any
+cancellative monoid: when every swap is safe, every world folds to one
+value, so both POSS and CERT compare that value with the candidate.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from .accum import (
     Accumulator,
     GroupByAccumulator,
     _bounded_width_table,
-    _chain_requirements,
     _noprod_union_table,
+    _unwind,
     accumulate_list,
     group_by_results,
 )
@@ -355,6 +357,25 @@ def cert_safe_swaps(acc: Accumulator, r: PoRelation, value) -> Verdict:
     """
     if not acc.monoid.is_cancellative:
         raise NotCancellativeError(f"accumulator {acc.name!r} is not cancellative")
+    unsafe = _unsafe_swap(acc, r)
+    if unsafe is not None:
+        x, y, p = unsafe
+        v1 = accumulate_list(acc, world_of(r, rank_witness(r, x, y, p, p + 1)))
+        v2 = accumulate_list(acc, world_of(r, rank_witness(r, x, y, p + 1, p)))
+        other = v1 if v1 != value else v2
+        return Verdict(False, "safe_swaps", witness=other, relation=r)
+    folded = accumulate_list(acc, world_of(r, canonical_extension(r)))
+    if folded == value:
+        return Verdict(True, "safe_swaps", relation=r)
+    return Verdict(False, "safe_swaps", witness=folded, relation=r)
+
+
+def _unsafe_swap(acc: Accumulator, r: PoRelation):
+    """The first ``(x, y, p)`` whose swap at ranks ``p, p + 1`` changes the fold.
+
+    ``None`` when every swap is safe: in a cancellative monoid every world
+    then folds to the same value.
+    """
     combine = acc.monoid.combine
     h = acc.map.fn
     rows = r.rows_by_position()
@@ -365,14 +386,8 @@ def cert_safe_swaps(acc: Accumulator, r: PoRelation, value) -> Verdict:
         positions = (lo,) if acc.map.is_position_invariant else range(lo, hi)
         for p in positions:
             if combine(h(t1, p), h(t2, p + 1)) != combine(h(t2, p), h(t1, p + 1)):
-                v1 = accumulate_list(acc, world_of(r, rank_witness(r, x, y, p, p + 1)))
-                v2 = accumulate_list(acc, world_of(r, rank_witness(r, x, y, p + 1, p)))
-                other = v1 if v1 != value else v2
-                return Verdict(False, "safe_swaps", witness=other, relation=r)
-    folded = accumulate_list(acc, world_of(r, canonical_extension(r)))
-    if folded == value:
-        return Verdict(True, "safe_swaps", relation=r)
-    return Verdict(False, "safe_swaps", witness=folded, relation=r)
+                return x, y, p
+    return None
 
 
 # -- bounded-width POSS DP -------------------------------------------------------
@@ -381,43 +396,48 @@ def cert_safe_swaps(acc: Accumulator, r: PoRelation, value) -> Verdict:
 def poss_bounded_width_dp(r: PoRelation, candidate) -> Verdict:
     """Membership of a candidate world via the chain-partition dynamic program.
 
-    States are chain-position vectors describing order ideals; a state is
-    reachable iff the candidate prefix of its size can be realized by that
-    ideal.  Polynomial for fixed width.
+    States are order ideals as position bitmasks; a state is reachable iff
+    the candidate prefix of its size can be realized by that ideal, and it
+    grows by the next row of some chain whose ancestors it holds.
+    Polynomial for fixed width.
     """
     candidate = _as_world(candidate)
     if len(candidate) != r.size or Counter(candidate) != bag_of(r):
         return Verdict(False, "width_dp", relation=r)
     _, partition = width_and_chain_partition(r)
-    chains = partition.chains
-    k = len(chains)
-    if k == 0:
-        return Verdict(True, "width_dp", witness=(), relation=r)
-    req = _chain_requirements(r, chains)
-    sizes = [len(c) for c in chains]
-    frontier = {tuple([0] * k): ()}
-    for depth, want in enumerate(candidate):
+    chains = [_group(r.position(ident) for ident in chain) for chain in partition.chains]
+    rows = r.rows_by_position()
+    anc = r._anc
+    frontier = {0: None}
+    for want in candidate:
         nxt = {}
-        for vec, witness in frontier.items():
-            for i in range(k):
-                p = vec[i] + 1
-                if p > sizes[i]:
+        for mask, cell in frontier.items():
+            for chain, chain_mask in chains:
+                p = _next_member(mask, chain, chain_mask)
+                if p is None or rows[p] != want or anc[p] & ~mask:
                     continue
-                ident = chains[i][p - 1]
-                if r.label(ident) != want:
-                    continue
-                if any(req[i][p][j] > vec[j] for j in range(k) if j != i):
-                    continue
-                new_vec = vec[:i] + (p,) + vec[i + 1 :]
-                if new_vec not in nxt:
-                    nxt[new_vec] = witness + (ident,)
+                state = mask | 1 << p
+                if state not in nxt:
+                    nxt[state] = (p, cell)
         frontier = nxt
         if not frontier:
             break
-    goal = tuple(sizes)
-    if goal in frontier:
-        return Verdict(True, "width_dp", witness=frontier[goal], relation=r)
+    full = (1 << r.size) - 1
+    if full in frontier:
+        return Verdict(True, "width_dp", witness=_unwind(frontier[full], r.ids), relation=r)
     return Verdict(False, "width_dp", relation=r)
+
+
+def _group(positions) -> tuple:
+    """A consumption group: its positions in order, and their mask."""
+    positions = tuple(positions)
+    return positions, sum(1 << p for p in positions)
+
+
+def _next_member(mask: int, members: tuple, group_mask: int):
+    """The first member of a group outside ``mask``; groups are used in prefix order."""
+    used = (mask & group_mask).bit_count()
+    return members[used] if used < len(members) else None
 
 
 # -- union width/ia POSS DP --------------------------------------------------------
@@ -428,9 +448,10 @@ def poss_union_width_iawidth(r_w: PoRelation, r_ia: PoRelation, candidate, polic
 
     Enumerates finishing orders of the ia-classes; for each, runs the chain
     dynamic program extended with the deterministic greedy consumption of
-    the ia part (open/blocked/exhausted classes, per-class used counts).
-    The witness indexes into the parallel composition of the two inputs
-    (left ids first).
+    the ia part (open/blocked/exhausted classes, per-label members used).
+    States are ideals of the union as position bitmasks, and the witness
+    indexes into the parallel composition of the two inputs (left ids
+    first).
     """
     policy = policy or DEFAULT_POLICY
     candidate = _as_world(candidate)
@@ -443,106 +464,69 @@ def poss_union_width_iawidth(r_w: PoRelation, r_ia: PoRelation, candidate, polic
         raise ResourceExceeded(
             f"finishing-order cap: {len(classes)} ia-classes, cap is {policy.finishing_classes_limit}"
         )
-    members = [sorted(c) for c in classes]
-    class_of = {}
-    for ci, mem in enumerate(members):
-        for ident in mem:
-            class_of[ident] = ci
-    n_classes = len(members)
-    anc_classes = [0] * n_classes
-    for ci, mem in enumerate(members):
-        for q in _bits(r_ia.ancestor_mask(mem[0])):
-            anc_classes[ci] |= 1 << class_of[r_ia.ids[q]]
-    # per class: ids grouped by label, deterministic order
-    groups = []
+    members = [sorted(r_w.size + r_ia.position(ident) for ident in c) for c in classes]
+    class_masks = [sum(1 << p for p in mem) for mem in members]
+    anc = union_rel._anc
+    # members of a class share their ancestors, which are whole classes
+    anc_classes = [[cj for cj, mask in enumerate(class_masks) if mask & anc[mem[0]]] for mem in members]
+    rows = union_rel.rows_by_position()
+    # per class: label -> its members, in id order
+    label_groups = []
     for mem in members:
         by_label: dict = {}
-        for ident in mem:
-            by_label.setdefault(r_ia.label(ident), []).append(ident)
-        groups.append(by_label)
-    class_sizes = [len(mem) for mem in members]
-
+        for p in mem:
+            by_label.setdefault(rows[p], []).append(p)
+        label_groups.append({label: _group(ps) for label, ps in by_label.items()})
     _, partition = width_and_chain_partition(r_w)
-    chains = partition.chains
-    k = len(chains)
-    req = _chain_requirements(r_w, chains)
-    sizes = [len(c) for c in chains]
+    chains = [_group(r_w.position(ident) for ident in chain) for chain in partition.chains]
 
-    left_pos = {ident: pos for pos, ident in enumerate(r_w.ids)}
-    right_pos = {ident: r_w.size + pos for pos, ident in enumerate(r_ia.ids)}
-
+    n_classes = len(members)
     for order in itertools.permutations(range(n_classes)):
         rank = {ci: k_ for k_, ci in enumerate(order)}
         # a class cannot finish before an ancestor class has finished
-        if any(rank[ci] < rank[cj] for ci in range(n_classes) for cj in _bits(anc_classes[ci])):
+        if any(rank[ci] < rank[cj] for ci in range(n_classes) for cj in anc_classes[ci]):
             continue
-        verdict = _union_dp_once(
-            candidate, chains, sizes, req, r_w, groups, class_sizes, anc_classes, order, left_pos, right_pos
-        )
-        if verdict is not None:
-            return Verdict(True, "union_dp", witness=verdict, relation=union_rel)
+        witness = _union_dp_once(candidate, union_rel, chains, members, class_masks, label_groups, order)
+        if witness is not None:
+            return Verdict(True, "union_dp", witness=witness, relation=union_rel)
     return Verdict(False, "union_dp", relation=union_rel)
 
 
-def _union_dp_once(candidate, chains, sizes, req, r_w, groups, class_sizes, anc_classes, order, left_pos, right_pos):
-    k = len(chains)
-    n_classes = len(groups)
-    label_lists = [sorted(groups[ci].items(), key=lambda kv: kv[1][0]) for ci in range(n_classes)]
-
-    def exhausted(counts, ci):
-        return sum(counts[ci]) == class_sizes[ci]
-
-    start = (tuple([0] * k), tuple(tuple(0 for _ in label_lists[ci]) for ci in range(n_classes)))
-    frontier = {start: ()}
+def _union_dp_once(candidate, u: PoRelation, chains, members, class_masks, label_groups, order):
+    rows = u.rows_by_position()
+    anc = u._anc
+    frontier = {0: None}
     for want in candidate:
         nxt = {}
-        for (vec, counts), witness in frontier.items():
-            for i in range(k):
-                p = vec[i] + 1
-                if p > sizes[i]:
+        for mask, cell in frontier.items():
+            for chain, chain_mask in chains:
+                p = _next_member(mask, chain, chain_mask)
+                if p is None or rows[p] != want or anc[p] & ~mask:
                     continue
-                ident = chains[i][p - 1]
-                if r_w.label(ident) != want:
-                    continue
-                if any(req[i][p][j] > vec[j] for j in range(k) if j != i):
-                    continue
-                state = (vec[:i] + (p,) + vec[i + 1 :], counts)
+                state = mask | 1 << p
                 if state not in nxt:
-                    nxt[state] = witness + (left_pos[ident],)
+                    nxt[state] = (p, cell)
             # greedy move in the ia part: the first open class in the
-            # finishing order holding an unused id with the wanted label
-            done_before = sum(1 for ci in range(n_classes) if exhausted(counts, ci))
+            # finishing order holding an unused member with the wanted label
+            done_before = sum(1 for cm in class_masks if not cm & ~mask)
             for ci in order:
-                if exhausted(counts, ci):
+                if not class_masks[ci] & ~mask or anc[members[ci][0]] & ~mask:
+                    continue  # exhausted, or an ancestor class is still open
+                group = label_groups[ci].get(want)
+                p = None if group is None else _next_member(mask, *group)
+                if p is None:
                     continue
-                if any(not exhausted(counts, cj) for cj in _bits(anc_classes[ci])):
-                    continue
-                slot = None
-                for g, (label, idents) in enumerate(label_lists[ci]):
-                    if label == want and counts[ci][g] < len(idents):
-                        slot = g
-                        break
-                if slot is None:
-                    continue
-                ident = label_lists[ci][slot][1][counts[ci][slot]]
-                new_counts = tuple(
-                    tuple(c + 1 if (cj == ci and gj == slot) else c for gj, c in enumerate(row))
-                    for cj, row in enumerate(counts)
-                )
-                if exhausted(new_counts, ci) and order[done_before] != ci:
+                state = mask | 1 << p
+                if not class_masks[ci] & ~state and order[done_before] != ci:
                     break  # finishing order violated; no other ia move allowed
-                state = (vec, new_counts)
                 if state not in nxt:
-                    nxt[state] = witness + (right_pos[ident],)
+                    nxt[state] = (p, cell)
                 break  # the greedy choice is forced
         frontier = nxt
         if not frontier:
             return None
-    goal_vec = tuple(sizes)
-    for (vec, counts), witness in frontier.items():
-        if vec == goal_vec and all(exhausted(counts, ci) for ci in range(n_classes)):
-            return witness
-    return None
+    full = (1 << u.size) - 1
+    return _unwind(frontier[full], u.ids) if full in frontier else None
 
 
 # -- position-based problems -----------------------------------------------------
@@ -699,6 +683,13 @@ def _accum_solve(acc, r, value, policy, want_cert: bool, hints: _Hints, query=No
         logger.debug("accum poss: identity encoding, list solver")
         return _poss_list(r, _as_world(value), policy, query=query, db=db)
 
+    if not want_cert and acc.monoid.is_cancellative and _unsafe_swap(acc, r) is None:
+        logger.debug("accum poss: cancellative monoid, one value by safe swaps")
+        seq = canonical_extension(r)
+        if accumulate_list(acc, world_of(r, seq)) == value:
+            return Verdict(True, "safe_swaps", witness=seq, relation=r)
+        return Verdict(False, "safe_swaps", relation=r)
+
     if acc.monoid.is_finite:
         if hints.width_bound is not None and hints.width_bound <= policy.width_limit:
             logger.debug("accum: finite monoid, bounded-width value DP")
@@ -709,15 +700,7 @@ def _accum_solve(acc, r, value, policy, want_cert: bool, hints: _Hints, query=No
             if ia_partition(r_ia).cardinality <= policy.ia_limit:
                 logger.debug("accum: finite position-invariant, union value DP")
                 table = _noprod_union_table(acc, r_w, r_ia)
-                union_rel = po_union(r_w, r_ia)
-                translated = {
-                    val: tuple(
-                        (r_w.position(ident) if tag == "w" else r_w.size + r_ia.position(ident))
-                        for tag, ident in wit
-                    )
-                    for val, wit in table.items()
-                }
-                return _verdict_from_table(translated, value, want_cert, "noprod_union_accum", union_rel)
+                return _verdict_from_table(table, value, want_cert, "noprod_union_accum", po_union(r_w, r_ia))
 
     logger.debug("accum: brute force under caps")
     return _accum_bruteforce(acc, r, value, policy, want_cert)

@@ -93,13 +93,32 @@ def random_low_ia_poset(rnd: random.Random, n: int, classes: int, arity: int = 1
 
 
 def brute_extensions(r: PoRelation) -> list:
-    """Every permutation of the ids that respects the raw order pairs."""
-    pairs = r.order_pairs()
+    """Every permutation of the ids that respects the raw order pairs.
+
+    A depth-first search over prefixes, in the order of
+    ``itertools.permutations(r.ids)``: a prefix grows only by an id whose
+    predecessors in the pairs are all placed, so no dead prefix is extended.
+    """
+    preds = {ident: set() for ident in r.ids}
+    for x, y in r.order_pairs():
+        preds[y].add(x)
     out = []
-    for perm in itertools.permutations(r.ids):
-        pos = {ident: k for k, ident in enumerate(perm)}
-        if all(pos[x] < pos[y] for x, y in pairs):
-            out.append(perm)
+    prefix = []
+    placed = set()
+
+    def extend():
+        if len(prefix) == len(r.ids):
+            out.append(tuple(prefix))
+            return
+        for ident in r.ids:
+            if ident not in placed and preds[ident] <= placed:
+                prefix.append(ident)
+                placed.add(ident)
+                extend()
+                placed.discard(ident)
+                prefix.pop()
+
+    extend()
     return out
 
 

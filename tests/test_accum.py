@@ -8,8 +8,10 @@ import random
 
 import pytest
 
-from conftest import brute_worlds, random_bounded_width_poset, random_low_ia_poset, random_poset
+from conftest import LETTERS, brute_worlds, random_bounded_width_poset, random_low_ia_poset, random_poset
 from ordlattice.accum import (
+    _bounded_width_table,
+    _noprod_union_table,
     PRECEDES_NEUTRAL,
     PRECEDES_NO,
     PRECEDES_YES,
@@ -30,7 +32,7 @@ from ordlattice.accum import (
     topk_accumulator,
 )
 from ordlattice.algebra import po_union
-from ordlattice.core import validate_po_relation
+from ordlattice.core import ia_partition, is_linear_extension, validate_po_relation, world_of
 from ordlattice.errors import (
     ArityError,
     NotFiniteError,
@@ -55,6 +57,14 @@ def toggle_accumulator() -> Accumulator:
 
 def brute_results(acc, r) -> set:
     return {accumulate_list(acc, world) for world in brute_worlds(r)}
+
+
+def assert_witness_table(acc, r, table):
+    """The keys are every result, and each witness is an extension of ``r`` folding to its key."""
+    assert set(table) == results_bruteforce(acc, r)
+    for value, witness in table.items():
+        assert is_linear_extension(r, witness)
+        assert accumulate_list(acc, world_of(r, witness)) == value
 
 
 class TestMonoidLaws:
@@ -190,22 +200,24 @@ class TestBoundedWidthDP:
             assert results_bounded_width(acc, r) == brute_results(acc, r)
 
     def test_position_dependent_map_supported(self):
-        # keep only the first two rows; finite because tuples over a 1-letter
-        # alphabet of length <= 2 are finitely many
+        # keep only the first two rows, or only the second; finite because
+        # tuples over a 1-letter alphabet of length <= 2 are finitely many
         monoid_elements = tuple(
             tuple(w) for k in range(3) for w in itertools.product((("a",), ("b",), ("c",)), repeat=k)
         )
         from ordlattice.accum import AccumMap, Monoid
 
-        acc = Accumulator(
-            "first-two",
-            Monoid("short-concat", (), lambda a, b: (a + b)[:2], is_finite=True, elements=monoid_elements),
-            AccumMap(lambda row, pos: (row,) if pos <= 2 else ()),
-        )
+        monoid = Monoid("short-concat", (), lambda a, b: (a + b)[:2], is_finite=True, elements=monoid_elements)
+        accs = [
+            Accumulator("first-two", monoid, AccumMap(lambda row, pos: (row,) if pos <= 2 else ())),
+            Accumulator("second", monoid, AccumMap(lambda row, pos: (row,) if pos == 2 else ())),
+        ]
         rnd = random.Random(29)
-        for _ in range(40):
-            r = random_bounded_width_poset(rnd, rnd.randint(0, 6), width=2)
+        for trial in range(40):
+            acc = accs[trial // 2 % 2]
+            r = random_bounded_width_poset(rnd, rnd.randint(0, 6), width=2 + trial % 2)
             assert results_bounded_width(acc, r) == brute_results(acc, r)
+            assert_witness_table(acc, r, _bounded_width_table(acc, r))
 
 
 class TestNoprodUnionDP:
@@ -240,12 +252,20 @@ class TestNoprodUnionDP:
     def test_matches_bruteforce_on_mixed_instances(self):
         rnd = random.Random(41)
         accs = [toggle_accumulator(), precedes_accumulator(("a",), ("b",))]
+        repeated = 0
         for trial in range(300):
             acc = accs[trial % 2]
             r_w = random_bounded_width_poset(rnd, rnd.randint(0, 5), width=2)
-            r_ia = random_low_ia_poset(rnd, rnd.randint(0, 4), classes=2)
+            # two letters, so ia-classes often hold several rows with one map value
+            r_ia = random_low_ia_poset(rnd, rnd.randint(0, 4), classes=2, values=("a", "b") if trial % 3 else LETTERS)
             got = results_noprod_union(acc, r_w, r_ia)
             assert got == brute_results(acc, po_union(r_w, r_ia))
+            assert_witness_table(acc, po_union(r_w, r_ia), _noprod_union_table(acc, r_w, r_ia))
+            repeated += any(
+                len(members) > len({acc.map.fn(r_ia.label(i), 1) for i in members})
+                for members in ia_partition(r_ia).classes
+            )
+        assert repeated >= 50
 
 
 class TestOrderInsensitive:

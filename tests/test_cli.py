@@ -300,6 +300,27 @@ class TestCommands:
         assert code == 3
         assert "resource exceeded" in capsys.readouterr().err
 
+    def test_runs_do_not_share_arguments(self, tmp_path, monkeypatch, capsys):
+        # the parser is built once per process; every run parses into a fresh namespace
+        from ordlattice import cli
+
+        seen = []
+        for name in ("_cmd_eval", "_cmd_poss_cert"):
+
+            def spy(args, *rest, original=getattr(cli, name), **kwargs):
+                seen.append(dict(vars(args)))
+                return original(args, *rest, **kwargs)
+
+            monkeypatch.setattr(cli, name, spy)
+        payload = {"relations": {"Big": {"arity": 1, "rows": [["x"]] * 16 + [["y"]] * 2, "order": [[16, 17]]}}}
+        path = write_json(tmp_path, "big.json", payload)
+        candidate = json.dumps([["x"]] * 16 + [["y"]] * 2)
+        assert run(["--policy", "width_limit=1", "--policy", "ia_limit=1", "poss", path, "Big", candidate]) == 3
+        assert run(["--policy", "brute_elements_limit=20", "eval", path, "Big", "--hasse"]) == 0
+        assert run(["poss", path, "Big", candidate]) == 0  # decided once the caps are back to their defaults
+        assert [s["policy"] for s in seen] == [["width_limit=1", "ia_limit=1"], ["brute_elements_limit=20"], None]
+        assert "hasse" not in seen[2] and "candidate" not in seen[1]
+
     def test_policy_flag_validation(self, db_path, capsys):
         assert run(["--policy", "nonsense=1", "analyze", db_path]) == 2
         assert run(["--policy", "width_limit=abc", "analyze", db_path]) == 2

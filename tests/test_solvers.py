@@ -19,9 +19,11 @@ from ordlattice.accum import (
     Monoid,
     accumulate_list,
     concat_accumulator,
+    count_accumulator,
     group_by_results,
     precedes_accumulator,
     sum_accumulator,
+    topk_accumulator,
 )
 from ordlattice.algebra import (
     Attr,
@@ -511,6 +513,28 @@ class TestAccumSolvers:
         verdict = cert_accum(acc, RelName("N"), {"N": num}, 6)
         assert verdict.answer and verdict.method == "safe_swaps"
 
+    def test_cancellative_poss_from_safe_swaps(self):
+        # every world folds to one value, so POSS is an equality test at any size
+        nums = validate_po_relation(range(20), {i: (i % 7,) for i in range(20)}, [(0, 5), (3, 9)])
+        for acc, value in ((count_accumulator(), 20), (sum_accumulator(), sum(i % 7 for i in range(20)))):
+            yes = poss_accum(acc, RelName("N"), {"N": nums}, value)
+            assert yes.answer and yes.method == "safe_swaps"
+            assert is_linear_extension(yes.relation, yes.witness)
+            assert accumulate_list(acc, world_of(yes.relation, yes.witness)) == value
+            no = poss_accum(acc, RelName("N"), {"N": nums}, value + 1)
+            assert not no.answer and no.method == "safe_swaps"
+        rnd = random.Random(347)
+        for _ in range(30):
+            r = random_poset(rnd, rnd.randint(0, 6), edge_prob=0.3, values=(0, 1, 2))
+            for acc in (count_accumulator(), sum_accumulator()):
+                (only,) = brute_results(acc, r)
+                for value in (only, only + 1):
+                    assert poss_accum(acc, RelName("R"), {"R": r}, value).answer == (value == only)
+        # the first two of several labels are not one value: the old path still refuses
+        mixed = validate_po_relation(range(15), {i: ("ab"[i % 2],) for i in range(15)}, [])
+        with pytest.raises(ResourceExceeded):
+            poss_accum(topk_accumulator(2), RelName("R"), {"R": mixed}, (("a",), ("b",)))
+
     def test_finite_bounded_width_dp_used(self):
         rnd = random.Random(331)
         acc = toggle_accumulator()
@@ -549,17 +573,18 @@ class TestAccumSolvers:
                 assert got_c.answer == (results == {value})
 
     def test_bruteforce_fallback_and_caps(self):
-        # position-dependent map disables the ia fast path; the wide relation
-        # then exceeds the brute-force cap
+        # position-dependent map disables the ia fast path, and two labels
+        # give more than one value, so safe swaps cannot answer either; the
+        # wide relation then exceeds the brute-force cap
         import dataclasses
 
         from ordlattice.accum import select_at_accumulator
 
         base = select_at_accumulator(1)
         acc = dataclasses.replace(
-            base, monoid=dataclasses.replace(base.monoid, is_finite=True, elements=((), (("a",),)))
+            base, monoid=dataclasses.replace(base.monoid, is_finite=True, elements=((), (("a",),), (("b",),)))
         )
-        big = validate_po_relation(range(15), {i: ("a",) for i in range(15)}, [])
+        big = validate_po_relation(range(15), {i: ("ab"[i % 2],) for i in range(15)}, [])
         with pytest.raises(ResourceExceeded):
             poss_accum(acc, RelName("R"), {"R": big}, (("a",),), DispatchPolicy(width_limit=1))
 
@@ -580,7 +605,8 @@ class TestAccumSolvers:
             policy = DispatchPolicy(width_limit=1)
             for value in list(results)[:2]:
                 got = poss_accum(acc, q, db, value, policy)
-                assert got.answer and got.method == "bruteforce"
+                # a cancellative monoid with a single value is answered by safe swaps
+                assert got.answer and got.method == ("safe_swaps" if len(results) == 1 else "bruteforce")
 
 
 class TestGroupBySolvers:
