@@ -6,14 +6,21 @@ the identifiers.  It represents the set of list relations obtained from its
 linear extensions (its *possible worlds*).
 
 The order is stored as per-identifier ancestor/descendant bitsets over dense
-positions (the full transitive closure), so comparability checks are O(1);
-the Hasse reduction is computed once and cached.  The two mask lists are
-transposes of each other: bit ``i`` of ``_anc[j]`` is set exactly when bit
-``j`` of ``_desc[i]`` is.  Every constructor builds both lists with
-whole-mask operations (shifts, ORs along a topological order, carry-free
-multiplies) rather than by visiting ordered pairs.  Instances are immutable
-after construction and safe to share across threads; the generators returned
-by :func:`linear_extensions` are single-consumer.
+positions (the full transitive closure), so comparability checks are O(1).
+The two mask lists are transposes of each other: bit ``i`` of ``_anc[j]`` is
+set exactly when bit ``j`` of ``_desc[i]`` is.  Every constructor builds
+both lists with whole-mask operations (shifts, ORs along a topological
+order, carry-free multiplies) rather than by visiting ordered pairs.
+
+The Hasse reduction is computed once and cached, by a cover walk: for each
+position, descend from a remaining descendant to a minimal one (a cover),
+then clear that cover's whole up-set from the remaining descendants.  Every
+descendant is visited at most once per position, and usually the cost is a
+few mask operations per covering pair instead of one per ordered pair.
+
+Instances are immutable after construction and safe to share across
+threads; the generators returned by :func:`linear_extensions` are
+single-consumer.
 """
 
 from __future__ import annotations
@@ -155,13 +162,21 @@ class PoRelation:
     def hasse_edges(self) -> tuple:
         """Covering pairs of the order, sorted; cached after first call."""
         if self._hasse is None:
+            anc, desc, ids = self._anc, self._desc, self.ids
             edges = []
             for i in range(self.size):
-                below = self._desc[i]
-                for j in _bits(below):
-                    # j covers i unless some k sits strictly between them
-                    if not (below & self._anc[j]):
-                        edges.append((self.ids[i], self.ids[j]))
+                rest = desc[i]  # descendants of i not yet above a found cover
+                while rest:
+                    # walk down to a minimal element of rest, i.e. a cover of i:
+                    # a descendant strictly between them would be above an
+                    # earlier cover, and would have been cleared with it
+                    j = (rest & -rest).bit_length() - 1
+                    below = anc[j] & rest
+                    while below:
+                        j = below.bit_length() - 1
+                        below = anc[j] & rest
+                    edges.append((ids[i], ids[j]))
+                    rest &= ~(desc[j] | 1 << j)
             self._hasse = tuple(sorted(edges))
         return self._hasse
 
@@ -383,18 +398,7 @@ def linear_extensions(r: PoRelation) -> Iterator[tuple]:
 
 def canonical_extension(r: PoRelation) -> tuple:
     """The smallest-id-first topological sort (first element of the stream)."""
-    n = r.size
-    anc = r._anc
-    out = []
-    used = 0
-    full = (1 << n) - 1
-    while used != full:
-        for p in _bits(full & ~used):
-            if not (anc[p] & ~used):
-                out.append(r.ids[p])
-                used |= 1 << p
-                break
-    return tuple(out)
+    return tuple(_sub_extension(r, (1 << r.size) - 1))
 
 
 def world_of(r: PoRelation, seq: Sequence[int]) -> tuple:
@@ -417,15 +421,16 @@ def is_linear_extension(r: PoRelation, seq: Sequence[int]) -> bool:
 def possible_worlds(r: PoRelation, limit: int = DEFAULT_WORLD_LIMIT) -> set:
     """The set of value sequences of all linear extensions, deduplicated.
 
-    Raises :class:`WorldLimitError` once more than ``limit`` distinct worlds
-    have been found.  Cost is proportional to the number of linear
-    extensions, which may exceed the number of distinct worlds.
+    Raises :class:`WorldLimitError` once more than ``limit`` linear
+    extensions have been visited.  That also caps the distinct worlds, which
+    never outnumber the extensions, and it bounds the cost when many
+    extensions share a few worlds (equal rows swapped among themselves).
     """
     worlds = set()
-    for seq in linear_extensions(r):
+    for visited, seq in enumerate(linear_extensions(r), start=1):
+        if visited > limit:
+            raise WorldLimitError(f"more than {limit} linear extensions")
         worlds.add(world_of(r, seq))
-        if len(worlds) > limit:
-            raise WorldLimitError(f"more than {limit} distinct possible worlds")
     return worlds
 
 
@@ -531,14 +536,17 @@ def rank_witness(r: PoRelation, x: int, y: int, p: int, q: int) -> tuple:
 
 def _sub_extension(r: PoRelation, mask: int) -> list:
     """Smallest-id-first topological order of the positions in ``mask``."""
+    anc, ids = r._anc, r.ids
     out = []
-    used = 0
-    while used != mask:
-        for pos in _bits(mask & ~used):
-            if not (r._anc[pos] & mask & ~used):
-                out.append(r.ids[pos])
-                used |= 1 << pos
-                break
+    rest = mask
+    while rest:
+        scan = rest
+        low = scan & -scan
+        while anc[low.bit_length() - 1] & rest:
+            scan ^= low
+            low = scan & -scan
+        out.append(ids[low.bit_length() - 1])
+        rest ^= low
     return out
 
 

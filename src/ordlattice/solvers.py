@@ -9,6 +9,8 @@ evaluate once, then pick an algorithm:
   to the chain-partition dynamic program;
 - product-free queries whose union terms split into low-width and
   low-ia-width parts go to the finishing-order dynamic program;
+- any other result whose measured width fits the policy goes to the chain
+  dynamic program, direct products included;
 - everything else falls back to memoized backtracking, capped by the
   policy (:class:`ResourceExceeded` is raised rather than guessing).
 
@@ -18,7 +20,10 @@ world iff the tuples differ, so the result is certain iff every
 incomparable pair carries equal values and the canonical extension matches
 the candidate.  The same safe-swaps scan decides accumulation in any
 cancellative monoid: when every swap is safe, every world folds to one
-value, so both POSS and CERT compare that value with the candidate.
+value, so both POSS and CERT compare that value with the candidate.  For a
+position-invariant map the scan is keyed by map value rather than label,
+so rows sharing a value are never visited as a pair (``count`` scans no
+pair at all) and a pair is unsafe iff its two values do not commute.
 """
 
 from __future__ import annotations
@@ -151,8 +156,7 @@ def _poss_list(r: PoRelation, candidate: tuple, policy: DispatchPolicy, query=No
 
     if _dup_free(r):
         logger.debug("poss: duplicate-free result, matching solver")
-        verdict, _ = _dedup_pair(r, candidate)
-        return verdict
+        return _dedup_pair(r, candidate)
 
     if query is not None and db is not None and not contains_node(query, DirProduct):
         bound = _static_width_bound(query, db)
@@ -168,7 +172,7 @@ def _poss_list(r: PoRelation, candidate: tuple, policy: DispatchPolicy, query=No
                 logger.debug("poss: product-free width/ia split, finishing-order DP")
                 return poss_union_width_iawidth(r_w, r_ia, candidate, policy)
 
-    if query is None and width_and_chain_partition(r)[0] <= policy.width_limit:
+    if width_and_chain_partition(r)[0] <= policy.width_limit:
         logger.debug("poss: low actual width, chain DP")
         return poss_bounded_width_dp(r, candidate)
 
@@ -260,41 +264,39 @@ def poss_backtracking(r: PoRelation, candidate, policy: DispatchPolicy | None = 
 # -- duplicate-free matching ---------------------------------------------------
 
 
-def _dedup_pair(r: PoRelation, candidate: tuple) -> tuple:
-    """(POSS, CERT) verdicts for a duplicate-free relation.
+def _dedup_pair(r: PoRelation, candidate: tuple) -> Verdict:
+    """POSS verdict for a duplicate-free relation.
 
     Each candidate row matches exactly one id; the candidate is possible
     iff that id sequence is a linear extension, i.e. every id's ancestors
-    are all placed before it, and certain iff the relation is a total
-    order matching it.
+    are all placed before it.
     """
-    ids_by_row = {r.label(ident): ident for ident in r.ids}
-    if len(set(candidate)) != len(candidate) or set(candidate) != set(ids_by_row):
-        poss_v = Verdict(False, "dedup", relation=r)
-    else:
-        seq = tuple(ids_by_row[row] for row in candidate)
-        placed = 0
-        for ident in seq:
-            pos = r.position(ident)
-            if r._anc[pos] & ~placed:
-                break
-            placed |= 1 << pos
-        possible = placed == (1 << r.size) - 1
-        poss_v = Verdict(possible, "dedup", witness=seq if possible else None, relation=r)
-
-    cert_v = _cert_list(r, candidate, method="dedup")
-    return poss_v, cert_v
+    rows = r.rows_by_position()
+    pos_by_row = {row: pos for pos, row in enumerate(rows)}
+    if len(set(candidate)) != len(candidate) or set(candidate) != set(pos_by_row):
+        return Verdict(False, "dedup", relation=r)
+    order = [pos_by_row[row] for row in candidate]
+    anc = r._anc
+    placed = 0
+    for pos in order:
+        if anc[pos] & ~placed:
+            return Verdict(False, "dedup", relation=r)
+        placed |= 1 << pos
+    return Verdict(True, "dedup", witness=tuple(r.ids[pos] for pos in order), relation=r)
 
 
 def poss_cert_dedup(q, db, candidate, policy: DispatchPolicy | None = None) -> tuple:
-    """(POSS, CERT) for a query whose result carries no duplicate values."""
+    """(POSS, CERT) for a query whose result carries no duplicate values.
+
+    CERT holds iff the relation is a total order matching the candidate.
+    """
     r = evaluate(q, db)
     candidate = _as_world(candidate)
     if isinstance(r, CompleteFailure):
         return Verdict(False, "complete_failure"), Verdict(False, "complete_failure")
     if not _dup_free(r):
         raise ValueError("poss_cert_dedup requires a duplicate-free result (apply dedup in the query)")
-    return _dedup_pair(r, candidate)
+    return _dedup_pair(r, candidate), _cert_list(r, candidate, method="dedup")
 
 
 # -- list-candidate CERT -------------------------------------------------------
@@ -326,21 +328,22 @@ def _cert_list(r: PoRelation, candidate: tuple, method: str = "swap_concat") -> 
     return Verdict(False, method, witness=world, relation=r)
 
 
-def _unequal_incomparable_pairs(r: PoRelation):
-    """Position pairs ``i < j`` that are incomparable and differently labelled.
+def _unequal_incomparable_pairs(r: PoRelation, keys=None):
+    """Position pairs ``i < j`` that are incomparable and differently keyed.
 
+    ``keys`` holds one hashable key per position and defaults to the labels.
     Ascending in ``i``, then ``j``; since ids ascend with positions this is
     also ascending id order.  Each ``i`` costs a few whole-mask operations
     plus one step per yielded pair.
     """
-    rows = r.rows_by_position()
-    same_label: dict = {}
-    for pos, row in enumerate(rows):
-        same_label[row] = same_label.get(row, 0) | 1 << pos
+    keys = r.rows_by_position() if keys is None else keys
+    same_key: dict = {}
+    for pos, key in enumerate(keys):
+        same_key[key] = same_key.get(key, 0) | 1 << pos
     full = (1 << r.size) - 1
     for i in range(r.size):
         later = full >> (i + 1) << (i + 1)
-        for j in _bits(later & ~(r._desc[i] | r._anc[i] | same_label[rows[i]])):
+        for j in _bits(later & ~(r._desc[i] | r._anc[i] | same_key[keys[i]])):
             yield i, j
 
 
@@ -374,17 +377,25 @@ def _unsafe_swap(acc: Accumulator, r: PoRelation):
     """The first ``(x, y, p)`` whose swap at ranks ``p, p + 1`` changes the fold.
 
     ``None`` when every swap is safe: in a cancellative monoid every world
-    then folds to the same value.
+    then folds to the same value.  A position-invariant map is scanned by
+    map value instead of label: rows with one value always swap safely, and
+    any other pair is unsafe iff its two values do not commute.
     """
     combine = acc.monoid.combine
     h = acc.map.fn
     rows = r.rows_by_position()
+    if acc.map.is_position_invariant:
+        values = [h(row, 1) for row in rows]
+        for i, j in _unequal_incomparable_pairs(r, values):
+            if combine(values[i], values[j]) != combine(values[j], values[i]):
+                x, y = r.ids[i], r.ids[j]
+                return x, y, possible_ranks(r, x, y)[0]
+        return None
     for i, j in _unequal_incomparable_pairs(r):
         x, y = r.ids[i], r.ids[j]
         t1, t2 = rows[i], rows[j]
         lo, hi = possible_ranks(r, x, y)
-        positions = (lo,) if acc.map.is_position_invariant else range(lo, hi)
-        for p in positions:
+        for p in range(lo, hi):
             if combine(h(t1, p), h(t2, p + 1)) != combine(h(t2, p), h(t1, p + 1)):
                 return x, y, p
     return None

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -146,6 +147,16 @@ class TestPossibleWorlds:
             possible_worlds(r, limit=10)
         with pytest.raises(OverflowError):
             possible_worlds(r, limit=10)
+
+    def test_limit_counts_extensions_not_worlds(self):
+        # 16 equal rows around an ordered pair: 153 worlds, about 3e15 extensions
+        labels = {i: ("x",) for i in range(16)}
+        labels.update({16: ("a",), 17: ("b",)})
+        r = validate_po_relation(range(18), labels, [(16, 17)])
+        start = time.perf_counter()
+        with pytest.raises(WorldLimitError):
+            possible_worlds(r, limit=10_000)
+        assert time.perf_counter() - start < 1.0
 
     def test_matches_bruteforce(self):
         rnd = random.Random(55)

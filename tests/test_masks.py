@@ -35,8 +35,20 @@ from ordlattice.core import (
     is_linear_extension,
     validate_po_relation,
 )
+from ordlattice import solvers
+from ordlattice.accum import (
+    AccumMap,
+    Accumulator,
+    Monoid,
+    concat_accumulator,
+    count_accumulator,
+    sum_accumulator,
+    topk_accumulator,
+)
+from ordlattice.algebra import RelName
+from ordlattice.core import possible_ranks
 from ordlattice.errors import CycleError
-from ordlattice.solvers import _dedup_pair, _unequal_incomparable_pairs
+from ordlattice.solvers import _dedup_pair, _unequal_incomparable_pairs, _unsafe_swap
 
 
 def assert_masks_consistent(r: PoRelation):
@@ -194,7 +206,7 @@ class TestMatchingKernels:
                 candidates[False] = no
                 planted_no += 1
             for planted, seq in candidates.items():
-                verdict, _ = _dedup_pair(r, tuple(r.label(i) for i in seq))
+                verdict = _dedup_pair(r, tuple(r.label(i) for i in seq))
                 assert verdict.answer == is_linear_extension(r, seq)
                 assert verdict.answer == planted or planted is None
                 assert verdict.witness == (tuple(seq) if verdict.answer else None)
@@ -211,3 +223,96 @@ class TestMatchingKernels:
                 if i < j and not r.comparable(x, y) and r.label(x) != r.label(y)
             ]
             assert list(_unequal_incomparable_pairs(r)) == expected
+
+
+def _relabelled(rnd: random.Random, r: PoRelation):
+    """``r`` with its ids shuffled, reversed and kept, so positions stop following the order."""
+    n = r.size
+    shuffled = list(range(n))
+    rnd.shuffle(shuffled)
+    for new_id in (shuffled, list(range(n - 1, -1, -1)), list(range(n))):
+        pairs = [(new_id[x], new_id[y]) for x, y in r.order_pairs()]
+        yield validate_po_relation(new_id, {new_id[i]: r.label(i) for i in r.ids}, pairs)
+
+
+class TestHasseCoverWalk:
+    def test_covers_match_their_definition(self):
+        rnd = random.Random(33)
+        for _ in range(120):
+            n = rnd.randint(0, 14)
+            bases = [
+                random_poset(rnd, n, edge_prob=rnd.random()),
+                random_bounded_width_poset(rnd, n, rnd.randint(1, 4)),
+                random_low_ia_poset(rnd, n, rnd.randint(1, 4)),
+                po_dirprod(random_poset(rnd, rnd.randint(0, 4)), random_poset(rnd, rnd.randint(0, 4))),
+            ]
+            for base in bases:
+                for r in _relabelled(rnd, base.reindexed()):
+                    closure = r.order_pairs()
+                    covers = {
+                        (x, y)
+                        for x, y in closure
+                        if not any((x, z) in closure and (z, y) in closure for z in r.ids)
+                    }
+                    assert r.hasse_edges() == tuple(sorted(covers))
+
+    def test_long_chains_in_both_id_orders(self):
+        n = 300
+        for ids in (list(range(n)), list(range(n - 1, -1, -1))):
+            r = validate_po_relation(ids, {i: ("v",) for i in ids}, list(zip(ids, ids[1:])))
+            assert r.hasse_edges() == tuple(sorted(zip(ids, ids[1:])))
+
+
+def _label_scan_unsafe_swap(acc, r: PoRelation):
+    """The first unsafe ``(x, y, p)`` by a scan of differently labelled pairs."""
+    combine, h = acc.monoid.combine, acc.map.fn
+    for i, j in _unequal_incomparable_pairs(r):
+        x, y = r.ids[i], r.ids[j]
+        t1, t2 = r.label(x), r.label(y)
+        lo, hi = possible_ranks(r, x, y)
+        for p in (lo,) if acc.map.is_position_invariant else range(lo, hi):
+            if combine(h(t1, p), h(t2, p + 1)) != combine(h(t2, p), h(t1, p + 1)):
+                return x, y, p
+    return None
+
+
+class TestValueKeyedSafeSwaps:
+    def test_matches_label_scan(self):
+        # first-attribute concat and sum give distinct labels a shared map value
+        first_concat = Accumulator(
+            "concat(1)",
+            Monoid("concat", neutral=(), combine=lambda a, b: a + b, is_cancellative=True),
+            AccumMap(lambda row, pos: (row[0],), is_position_invariant=True),
+        )
+        accs = [first_concat, sum_accumulator(), concat_accumulator(), count_accumulator(), topk_accumulator(2)]
+        rnd = random.Random(34)
+        unsafe = 0
+        for _ in range(150):
+            n = rnd.randint(0, 9)
+            for r in (
+                random_poset(rnd, n, edge_prob=rnd.random(), arity=2, values=(0, 1, 2)),
+                random_low_ia_poset(rnd, n, rnd.randint(1, 3), arity=2, values=(0, 1, 2)),
+            ):
+                for acc in accs:
+                    expected = _label_scan_unsafe_swap(acc, r)
+                    assert _unsafe_swap(acc, r) == expected
+                    unsafe += expected is not None
+        assert unsafe > 200
+
+
+class TestMatchingSkipsCert:
+    def test_dup_free_poss_builds_no_cert_verdict(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("POSS on a duplicate-free result built a CERT verdict")
+
+        monkeypatch.setattr(solvers, "_cert_list", refuse)
+        rnd = random.Random(35)
+        for _ in range(60):
+            base = random_poset(rnd, rnd.randint(1, 8), edge_prob=rnd.random())
+            r = validate_po_relation(base.ids, {i: (f"t{i}",) for i in base.ids}, base.order_pairs())
+            db = {"R": r}
+            for seq in (_random_extension(rnd, r), rnd.sample(list(r.ids), r.size)):
+                world = tuple(r.label(i) for i in seq)
+                for verdict in (solvers.poss(RelName("R"), db, world), solvers.poss_accum(concat_accumulator(), RelName("R"), db, world)):
+                    assert verdict.method == "dedup"
+                    assert verdict.answer == is_linear_extension(r, seq)

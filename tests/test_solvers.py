@@ -265,6 +265,33 @@ class TestBoundedWidthDP:
         assert poss_accum(concat_accumulator(), RelName("A"), db, candidate).method == "width_dp"
         assert measured and 9 not in measured
 
+    def test_dispatcher_uses_width_dp_on_low_width_products(self):
+        # the direct product has no static width bound, but a chain times a
+        # chain of two has measured width at most 2
+        rnd = random.Random(309)
+        checked = 0
+        for _ in range(40):
+            n = rnd.randint(2, 4)
+            dup = validate_po_relation(range(n), {i: (rnd.choice("ab"),) for i in range(n)}, [(i, i + 1) for i in range(n - 1)])
+            pair = validate_po_relation(range(2), {0: ("p",), 1: ("q",)}, [(0, 1)] if rnd.random() < 0.5 else [])
+            db = {"Dup": dup, "Pair": pair}
+            q = DirProduct(RelName("Dup"), RelName("Pair"))
+            r = evaluate(q, db)
+            if len(set(r.rows_by_position())) == r.size:
+                continue
+            worlds = brute_worlds(r)
+            rows = list(r.rows_by_position())
+            rnd.shuffle(rows)
+            for cand in list(worlds)[:2] + [tuple(rows)]:
+                verdict = poss(q, db, cand)
+                assert verdict.method == "width_dp"
+                assert verdict.answer == (cand in worlds)
+                if verdict.answer:
+                    assert is_linear_extension(r, verdict.witness)
+                    assert world_of(r, verdict.witness) == cand
+                checked += 1
+        assert checked > 60
+
 
 class TestUnionWidthIaDP:
     def test_ia_only_multiset_permutations(self):
